@@ -199,14 +199,13 @@ pub struct ExperimentConfig {
     /// that [`cloudburst_chaos::FaultProfile::is_dormant`] — leave the run
     /// byte-identical to a fault-free one.
     pub faults: Option<cloudburst_chaos::FaultProfile>,
-    /// Worker threads for intra-run shard fan-outs (admission estimate
-    /// precompute, report sections). `None` or `Some(0)` means auto (the
-    /// machine's available parallelism); `Some(1)` pins the inline serial
-    /// path. `Option` so configs serialized before the knob existed still
-    /// deserialize (missing fields decode as null). Results are
-    /// byte-identical for every value — the epoch-barrier merge makes the
-    /// run a pure function of (config minus this knob, seed) — so the
-    /// knob only trades wall-clock time, never reproducibility.
+    /// Worker count recorded for the intra-run admission estimate fan-out.
+    /// `None` or `Some(0)` means auto (the machine's available
+    /// parallelism). The fan-out runs inline on the engine thread at every
+    /// value, so the knob is accepted but inert: results are byte-identical
+    /// and wall time unchanged for every value. `Option` so configs
+    /// serialized before the knob existed still deserialize (missing
+    /// fields decode as null).
     pub shard_workers: Option<usize>,
     /// Open-system serving section. `None` (also what configs serialized
     /// before the mode existed decode to) runs the classic closed-batch

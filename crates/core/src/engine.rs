@@ -501,11 +501,11 @@ pub struct EngineWorld {
     /// Fault-injection bookkeeping; `None` ⇔ no fault can ever realize.
     chaos: Option<ChaosState>,
     chaos_wake: Option<EventId>,
-    /// Worker policy for intra-run shard fan-outs (admission estimate
-    /// precompute, report sections). Results are byte-identical for any
-    /// worker count; `cfg.shard_workers` only trades wall-clock time.
+    /// Worker policy for the admission estimate precompute fan-out, from
+    /// `cfg.shard_workers`. The pool runs every fan-out inline, so the
+    /// count moves neither bytes nor wall time.
     pool: ShardPool,
-    /// Reusable buffer for the sharded admission precompute: per-job
+    /// Reusable buffer for the admission estimate precompute: per-job
     /// `(QRSM exec estimate, serving-model RMSE)` read against the frozen
     /// post-flush estimator, merged back in job-id order.
     admit_scratch: Vec<(f64, f64)>,
@@ -1069,63 +1069,41 @@ impl EngineWorld {
         // Eq. 11/12 use the *decision-time* placements per batch; the flat
         // `self.placements` can differ after rescheduling moves jobs.
         let (per_batch, overall) = metrics::burst_ratio_batched(&self.batch_decisions);
-        // The two heavy report sections are disjoint pure reads of the
-        // finished run, so they go through the shard pool's join — inline
-        // (same order) at one worker, concurrent otherwise. The closures
-        // capture bound field refs rather than `&self` because the
-        // scheduler box is not `Sync`.
-        let jobs = &self.jobs;
-        let output_bytes = &self.output_bytes;
-        let ticket_promise = &self.ticket_promise;
-        let ct = &completion_times;
         let oo_cfg = self.cfg.oo;
         let horizon = SimTime::from_secs_f64(makespan_secs) + oo_cfg.sample_interval;
-        let (oo, (batch_turnaround_secs, sequential, tickets, completion_delays)) =
-            self.pool.join(
-                move || {
-                    let records: Vec<CompletionRecord> = ct
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &at)| CompletionRecord {
-                            id: i as u64,
-                            at,
-                            bytes: output_bytes[i],
-                        })
-                        .collect();
-                    oo_series(&records, jobs.len().max(1), horizon, oo_cfg)
-                },
-                move || {
-                    let batch_of: Vec<u32> = jobs.iter().map(|j| j.batch).collect();
-                    let n_batches =
-                        batch_of.iter().map(|&b| b as usize + 1).max().unwrap_or(0);
-                    // First-arrival per batch in a single pass over the
-                    // jobs (the old per-batch `find` scan was O(batches·n)).
-                    let mut batch_arrivals = vec![SimTime::ZERO; n_batches];
-                    let mut seen = vec![false; n_batches];
-                    for j in jobs.iter() {
-                        let b = j.batch as usize;
-                        if !seen[b] {
-                            seen[b] = true;
-                            batch_arrivals[b] = j.arrival;
-                        }
-                    }
-                    let batch_turnaround_secs =
-                        metrics::batch_turnarounds(ct, &batch_of, &batch_arrivals);
-                    let sequential: f64 = jobs.iter().map(|j| j.true_service_secs).sum();
-                    let tickets: Vec<cloudburst_sla::TicketOutcome> = ct
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &completed)| cloudburst_sla::TicketOutcome {
-                            id: i as u64,
-                            issued: jobs[i].arrival,
-                            promised: ticket_promise[i],
-                            completed,
-                        })
-                        .collect();
-                    let completion_delays = metrics::completion_delay_series(ct, arrival);
-                    (batch_turnaround_secs, sequential, tickets, completion_delays)
-                },
-            );
+        let records: Vec<CompletionRecord> = completion_times
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| CompletionRecord { id: i as u64, at, bytes: self.output_bytes[i] })
+            .collect();
+        let oo = oo_series(&records, self.jobs.len().max(1), horizon, oo_cfg);
+        let batch_of: Vec<u32> = self.jobs.iter().map(|j| j.batch).collect();
+        let n_batches = batch_of.iter().map(|&b| b as usize + 1).max().unwrap_or(0);
+        // First-arrival per batch in a single pass over the jobs (the old
+        // per-batch `find` scan was O(batches·n)).
+        let mut batch_arrivals = vec![SimTime::ZERO; n_batches];
+        let mut seen = vec![false; n_batches];
+        for j in &self.jobs {
+            let b = j.batch as usize;
+            if !seen[b] {
+                seen[b] = true;
+                batch_arrivals[b] = j.arrival;
+            }
+        }
+        let batch_turnaround_secs =
+            metrics::batch_turnarounds(&completion_times, &batch_of, &batch_arrivals);
+        let sequential: f64 = self.jobs.iter().map(|j| j.true_service_secs).sum();
+        let tickets: Vec<cloudburst_sla::TicketOutcome> = completion_times
+            .iter()
+            .enumerate()
+            .map(|(i, &completed)| cloudburst_sla::TicketOutcome {
+                id: i as u64,
+                issued: self.jobs[i].arrival,
+                promised: self.ticket_promise[i],
+                completed,
+            })
+            .collect();
+        let completion_delays = metrics::completion_delay_series(&completion_times, arrival);
         RunReport {
             scheduler: self.scheduler.name().to_string(),
             bucket: self.cfg.arrivals.bucket.label().to_string(),
@@ -1408,10 +1386,10 @@ fn on_wake(w: &mut W, sim: &mut Sim<W>) {
 /// A batch arrival is an epoch barrier of the sharded engine: every
 /// component has been advanced to `now` (completed transfers and
 /// executions exchanged), the QRSM observations queued during the epoch
-/// are refit in exactly once, and the pure per-job estimate reads fan out
+/// are refit in exactly once, and the pure per-job estimate reads map
 /// over the shard pool against that frozen model before the sequential
 /// decision spine (planner commits, queue pushes) replays them in job-id
-/// order — byte-identical for any worker count.
+/// order.
 fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     let now = sim.now();
     // Process anything that completed up to now first.
@@ -1439,8 +1417,8 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
 
     // Re-index into the global FCFS id space and record estimates by
     // replaying the scheduler's own planner commitments. The admission is
-    // split into three phases so the per-job estimate reads can fan out
-    // over the shard pool without perturbing a single sequential byte:
+    // split into three phases so the per-job estimate reads are a pure map
+    // over the shard pool, apart from the sequential spine:
     //
     // Phase 1 (sequential): chunk ground-truth resampling on the one
     // shared RNG stream (call order preserved exactly). The scheduler
@@ -1463,9 +1441,8 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     }
 
     // Phase 2 (shard fan-out): each job's execution estimate and RMSE
-    // quote is a pure read of the frozen post-barrier model, so the pool
-    // computes them in parallel and merges results back in id order —
-    // byte-identical for any worker count.
+    // quote is a pure read of the frozen post-barrier model, mapped into
+    // the reusable scratch in id order.
     let mut planner_inputs = std::mem::take(&mut w.admit_scratch);
     let pool = w.pool;
     {

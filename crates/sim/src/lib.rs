@@ -13,9 +13,9 @@
 //!   dynamic downcasting.
 //! * [`rng`] — reproducible per-component random streams derived from a single
 //!   experiment seed, so every figure in the paper regenerates byte-identically.
-//! * [`ShardPool`] — deterministic intra-run fan-out: pure per-item work runs
-//!   on scoped workers and merges back in input order, byte-identical for any
-//!   worker count (the sharded engine's epoch-barrier building block).
+//! * [`ShardPool`] — the engine's intra-run fan-out: pure per-item work mapped
+//!   into input-indexed slots on the caller's thread, whatever the recorded
+//!   worker count (the admission estimate precompute at each epoch barrier).
 //!
 //! # Example
 //!

@@ -4,6 +4,10 @@
 //! full `RunReport` JSON compared against the pinned serial path — the
 //! composed run is a pure function of (config, seed), not of how many
 //! threads happened to carry it.
+//!
+//! The shard pool runs every fan-out inline, so these goldens pin that
+//! the knob stays inert: a config that sets it still decodes and runs to
+//! the same bytes.
 
 use cloudburst_repro::chaos::{CrashLaw, FaultProfile, RetryPolicy};
 use cloudburst_repro::core::config::EcSiteConfig;
