@@ -19,47 +19,18 @@ cargo test -q --release --workspace
 echo "== benches compile: cargo bench --no-run"
 cargo bench --no-run
 
-echo "== perfsmoke probes + floor gates vs BENCH_PR2.json / BENCH_PR5.json"
+# Both probe lines are gated by the one BENCH.json manifest: perfgate picks
+# the rules for each line from its `bench` field (throughput floors at 5x
+# headroom, the open/closed and dormant-econ ratios, depth-curve spread,
+# live-bytes growth). The manifest's self-check on its recorded lines is a
+# perfgate unit test, run by the workspace pass above.
+echo "== perf probes (perfsmoke + reduced perfscale), gated by BENCH.json"
 PERF_TMP="$(mktemp -d)"
 trap 'rm -rf "$PERF_TMP"' EXIT
 cargo run --release -p cloudburst-bench --bin perfsmoke -- "$PERF_TMP/smoke.json"
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH_PR2.json
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH_PR5.json
-# BENCH_PR9.json adds the open-system serving record: sustained jobs/s
-# floors, the >= 0.9x open/closed throughput ratio, and the per-window
-# live-bytes flatness rule (both read from the fresh smoke line).
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH_PR9.json
-# BENCH_PR10.json adds the economics record: the dormant-econ runs/s and
-# cost-aware broker decisions/s floors, plus the fresh-line rule that a
-# dormant econ section holds >= 0.95x the econ-free throughput (the
-# wall-clock half of the byte-identity contract).
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH_PR10.json
-
-echo "== perfscale reduced probe + floor gates vs BENCH_PR4.json / BENCH_PR6.json / BENCH_PR7.json"
 cargo run --release -p cloudburst-bench --bin perfscale -- --reduced "$PERF_TMP/scale.json"
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH_PR4.json
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH_PR6.json
-# BENCH_PR7.json adds the threads-vs-throughput curve; perfgate's scaling
-# rule (>= 2x end-to-end at 4 shard workers) arms itself from the fresh
-# record's host_cores, so a single-core CI box skips it with a notice
-# instead of failing on physics.
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH_PR7.json
-# The serve-scale half of BENCH_PR9.json: the reduced probe emits the same
-# generic serve_scale_* keys as the checked-in 10M-job record, so the
-# megascale memory-flatness rule and the jobs/s floor both arm here.
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH_PR9.json
-
-echo "== depth-curve record self-gate: BENCH_PR6.json curve must be flat (<= 2x)"
-cargo run --release -p cloudburst-bench --bin perfgate -- BENCH_PR6.json BENCH_PR6.json 1.0 2.0
-
-echo "== BENCH_PR7.json self-gate: curve still flat; threads rule arms iff host_cores >= 4"
-cargo run --release -p cloudburst-bench --bin perfgate -- BENCH_PR7.json BENCH_PR7.json 1.0 2.0
-
-echo "== BENCH_PR9.json self-gate: serving record's memory curves flat, open/closed ratio >= 0.9"
-cargo run --release -p cloudburst-bench --bin perfgate -- BENCH_PR9.json BENCH_PR9.json 1.0
-
-echo "== BENCH_PR10.json self-gate: dormant econ holds >= 0.95x econ-free throughput"
-cargo run --release -p cloudburst-bench --bin perfgate -- BENCH_PR10.json BENCH_PR10.json 1.0
+cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH.json
+cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH.json
 
 # The PR's headline guarantee gets its own named gate: the composition
 # proptest (3 schedulers, with/without an armed chaos plan, workers

@@ -1,238 +1,304 @@
-//! `perfgate` — loose performance floors for CI.
+//! `perfgate` — loose performance gates for CI, driven by one manifest.
 //!
-//! Compares a freshly measured probe line (from `perfsmoke` or
-//! `perfscale`) against a checked-in baseline (`BENCH_PR2.json`,
-//! `BENCH_PR4.json`): every throughput key — one ending in `_per_sec` —
-//! present in *both* files must be at least `baseline / headroom`. The
-//! default headroom of 5× makes the gate a regression tripwire (an
-//! accidental return to a linear or allocating path shows up as 10–100×),
-//! not a flakiness source on busy CI machines.
+//! Checks a freshly measured probe line (from `perfsmoke` or `perfscale`)
+//! against the rules of the checked-in `BENCH.json` manifest:
 //!
 //! ```text
-//! perfgate <fresh.json> <baseline.json> [headroom] [curve_bound]
+//! perfgate <fresh.json> BENCH.json
 //! ```
 //!
-//! Besides the floors, the gate holds the decisions/s-vs-depth curve
-//! flat: when the fresh line carries two or more
-//! `decision_curve_*_decisions_per_sec` keys, their max/min ratio must
-//! not exceed `curve_bound` (default 3×). A decision loop that regressed
-//! to O(queue) shows up as a 10–40× spread across the probed depths long
-//! before any absolute floor trips.
+//! Every manifest rule names the probe line it applies to (matched against
+//! the fresh line's `bench` field), a key — or a one-star pattern such as
+//! `decision_curve_*_decisions_per_sec` — and one of four rule kinds, each
+//! evaluated over the key-sorted values the key selects on the fresh line:
 //!
-//! The open-system serving record adds two memory-flatness rules and a
-//! throughput-ratio rule, all on the *fresh* line (they assert physics of
-//! the run itself, not drift against the baseline): the per-window
-//! live-bytes curve (`serve_mem_curve_*_live_bytes`, key-sorted = time
-//! order) and the serve-scale first/last window pair must each end within
-//! 1.5× of where they started, and `serve_sustained_over_closed` — open
-//! serving vs the closed-batch twin over the identical workload — must
-//! hold ≥ 0.9×. The economics record adds one more fresh-line rule:
-//! `econ_dormant_over_clean` — engine throughput with a dormant econ
-//! section vs `econ: None` — must hold ≥ 0.95×, since a dormant section
-//! is contractually the identical code path.
+//! * `floor` — every value ≥ `baseline / 5`. The 5× headroom makes a floor
+//!   a regression tripwire (an accidental return to a linear or allocating
+//!   path shows up as 10–100×), not a flakiness source on busy CI hosts.
+//! * `min` — every value ≥ `bound` (the open/closed serving ratio, the
+//!   dormant-econ throughput ratio).
+//! * `spread` — max/min ≤ `bound` (the decisions/s-vs-depth curve: a
+//!   decision loop that regressed to O(queue) spreads 10–40×).
+//! * `growth` — last/first ≤ `bound` (per-window live bytes: a serving
+//!   loop that re-grew whole-run state ramps 10×+ across the stream).
 //!
-//! When the fresh line carries the sharded-engine threads curve
-//! (`threads_curve_w<N>_jobs_per_sec`), the gate also requires the
-//! 4-worker end-to-end run to reach ≥ 2× the pinned-serial one — skipped
-//! (with a notice) when the fresh record's `host_cores` is below 4, since
-//! a single-core host measuring a flat curve is physics, not a
-//! regression.
-//!
-//! Exits non-zero if any floor is broken, the curve ratio is exceeded,
-//! the threads-curve speedup is gated and missed, or the two files share
-//! no throughput keys (a silently toothless gate is itself a failure).
+//! A rule whose key selects nothing on the fresh line fails — a probe that
+//! stops emitting a key must not silently lose its gate — and so do an
+//! unknown rule kind and a line no rule applies to. Exits non-zero on any
+//! failure.
 
 use std::process::ExitCode;
 
-fn load(path: &str) -> serde_json::Map {
+use serde_json::{Map, Value};
+
+/// Floors hold `fresh >= baseline / HEADROOM`.
+const HEADROOM: f64 = 5.0;
+
+fn load(path: &str) -> Value {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("perfgate: cannot read {path}: {e}"));
-    match serde_json::from_str_value(text.trim()) {
-        Ok(serde_json::Value::Object(m)) => m,
-        _ => panic!("perfgate: {path} is not a one-line JSON object"),
+    serde_json::from_str_value(&text).unwrap_or_else(|e| panic!("perfgate: {path}: {e:?}"))
+}
+
+/// `pattern` is an exact key, or `prefix*suffix`.
+fn matches(pattern: &str, key: &str) -> bool {
+    match pattern.split_once('*') {
+        Some((pre, suf)) => {
+            key.len() >= pre.len() + suf.len() && key.starts_with(pre) && key.ends_with(suf)
+        }
+        None => key == pattern,
     }
+}
+
+/// Evaluates one manifest rule on a fresh line: `Ok` passes, `Err` fails,
+/// and both carry the verdict text.
+fn check(rule: &Value, fresh: &Map) -> Result<String, String> {
+    let key = rule.get("key").and_then(Value::as_str).unwrap_or("<no key>");
+    let kind = rule.get("rule").and_then(Value::as_str).unwrap_or("<no rule>");
+    let number = |field: &str| {
+        rule.get(field)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("{kind} {key}: rule has no numeric `{field}`"))
+    };
+    let mut series: Vec<(&String, f64)> = fresh
+        .iter()
+        .filter(|(k, _)| matches(key, k))
+        .filter_map(|(k, v)| v.as_f64().map(|f| (k, f)))
+        .collect();
+    series.sort_by(|a, b| a.0.cmp(b.0));
+    if series.is_empty() {
+        return Err(format!("{kind} {key}: missing from the fresh line"));
+    }
+    let lo = series.iter().map(|s| s.1).fold(f64::INFINITY, f64::min);
+    let hi = series.iter().map(|s| s.1).fold(f64::NEG_INFINITY, f64::max);
+    let (first, last) = (series[0], series[series.len() - 1]);
+    let (ok, text) = match kind {
+        "floor" => {
+            let base = number("baseline")?;
+            let floor = base / HEADROOM;
+            let text = format!("{lo:.3e} vs floor {floor:.3e} (baseline {base:.3e} / {HEADROOM}x)");
+            (lo >= floor, text)
+        }
+        "min" => {
+            let bound = number("bound")?;
+            (lo >= bound, format!("{lo:.3} (need >= {bound})"))
+        }
+        "spread" | "growth" if series.len() < 2 => {
+            return Err(format!("{kind} {key}: needs >= 2 keys, fresh line has {}", series.len()));
+        }
+        "spread" => {
+            let bound = number("bound")?;
+            let ratio = hi / lo;
+            let text = format!("max/min {ratio:.2} (bound {bound}) over {} keys", series.len());
+            (ratio <= bound, text)
+        }
+        "growth" => {
+            let bound = number("bound")?;
+            let ratio = last.1 / first.1;
+            (ratio <= bound, format!("{} = {ratio:.2}x {} (bound {bound}x)", last.0, first.0))
+        }
+        _ => return Err(format!("{kind} {key}: unknown rule kind")),
+    };
+    let text = format!("{kind} {key}: {text}");
+    if ok {
+        Ok(text)
+    } else {
+        Err(text)
+    }
+}
+
+/// Runs every manifest rule for the fresh line's probe, printing one
+/// verdict per rule. Returns `(rules checked, rules failed)`; a line no
+/// rule applies to counts as one failure.
+fn gate(manifest: &Value, fresh: &Map) -> (usize, usize) {
+    let line = fresh.get("bench").and_then(Value::as_str).unwrap_or("<no bench field>");
+    let rules: Vec<&Value> = manifest
+        .get("rules")
+        .and_then(Value::as_array)
+        .into_iter()
+        .flatten()
+        .filter(|r| r.get("line").and_then(Value::as_str) == Some(line))
+        .collect();
+    if rules.is_empty() {
+        println!("FAIL no manifest rules for probe line {line:?}");
+        return (0, 1);
+    }
+    let mut failed = 0;
+    for rule in &rules {
+        match check(rule, fresh) {
+            Ok(text) => println!("ok   {text}"),
+            Err(text) => {
+                failed += 1;
+                println!("FAIL {text}");
+            }
+        }
+    }
+    (rules.len(), failed)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (fresh_path, base_path) = match (args.first(), args.get(1)) {
-        (Some(f), Some(b)) => (f.as_str(), b.as_str()),
-        _ => {
-            eprintln!("usage: perfgate <fresh.json> <baseline.json> [headroom] [curve_bound]");
-            return ExitCode::FAILURE;
-        }
-    };
-    let headroom: f64 = args.get(2).map_or(5.0, |h| h.parse().expect("numeric headroom"));
-    assert!(headroom >= 1.0, "headroom must be >= 1");
-    let curve_bound: f64 = args.get(3).map_or(3.0, |b| b.parse().expect("numeric curve bound"));
-    assert!(curve_bound >= 1.0, "curve bound must be >= 1");
-
-    let fresh = load(fresh_path);
-    let base = load(base_path);
-
-    let mut checked = 0usize;
-    let mut failed = 0usize;
-    let mut keys: Vec<&String> = base.keys().collect();
-    keys.sort();
-    for key in keys {
-        if !key.ends_with("_per_sec") {
-            continue;
-        }
-        let Some(b) = base[key].as_f64() else { continue };
-        let Some(f) = fresh.get(key).and_then(|v| v.as_f64()) else { continue };
-        checked += 1;
-        let floor = b / headroom;
-        let ok = f >= floor;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "{} {key}: fresh {f:.3e} vs floor {floor:.3e} (baseline {b:.3e} / {headroom}x)",
-            if ok { "ok  " } else { "FAIL" },
-        );
-    }
-    if checked == 0 {
-        eprintln!("perfgate: no shared *_per_sec keys between {fresh_path} and {base_path}");
+    let [fresh_path, manifest_path] = args.as_slice() else {
+        eprintln!("usage: perfgate <fresh.json> BENCH.json");
         return ExitCode::FAILURE;
-    }
-
-    // Depth-flatness: the fresh curve's spread across queue depths.
-    let mut curve: Vec<(&String, f64)> = fresh
-        .iter()
-        .filter(|(k, _)| {
-            k.starts_with("decision_curve_") && k.ends_with("_decisions_per_sec")
-        })
-        .filter_map(|(k, v)| v.as_f64().map(|f| (k, f)))
-        .collect();
-    curve.sort_by(|a, b| a.0.cmp(b.0));
-    if curve.len() >= 2 {
-        let max = curve.iter().map(|(_, f)| *f).fold(f64::MIN, f64::max);
-        let min = curve.iter().map(|(_, f)| *f).fold(f64::MAX, f64::min);
-        assert!(min > 0.0, "curve rates must be positive");
-        let ratio = max / min;
-        let ok = ratio <= curve_bound;
-        if !ok {
-            failed += 1;
-        }
-        for (k, f) in &curve {
-            println!("     {k}: {f:.3e}");
-        }
-        println!(
-            "{} decision curve: max/min ratio {ratio:.2} (bound {curve_bound}) over {} depths",
-            if ok { "ok  " } else { "FAIL" },
-            curve.len(),
-        );
-    }
-
-    // Open-system serving gates (ISSUE 9). All three read the fresh line
-    // only: memory flatness and the open/closed ratio are invariants of
-    // the run itself, so comparing them against a baseline measured on
-    // different hardware would add noise without adding teeth.
-    //
-    // (a) Sustained-serving memory flatness: the per-window live-bytes
-    // high-water curve from perfsmoke must end within 1.5x of its first
-    // post-warm-up window — a serving loop that re-grew whole-run state
-    // shows up as a monotone ramp, typically 10x+ across the stream.
-    let mut mem_curve: Vec<(&String, f64)> = fresh
-        .iter()
-        .filter(|(k, _)| k.starts_with("serve_mem_curve_") && k.ends_with("_live_bytes"))
-        .filter_map(|(k, v)| v.as_f64().map(|f| (k, f)))
-        .collect();
-    mem_curve.sort_by(|a, b| a.0.cmp(b.0));
-    if mem_curve.len() >= 2 {
-        let (first_key, first) = mem_curve[0];
-        let (last_key, last) = mem_curve[mem_curve.len() - 1];
-        assert!(first > 0.0, "live-bytes high-water must be positive");
-        let ratio = last / first;
-        let ok = ratio <= 1.5;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "{} serve memory curve: {last_key} = {ratio:.2}x {first_key} \
-             (bound 1.5x) over {} windows",
-            if ok { "ok  " } else { "FAIL" },
-            mem_curve.len(),
-        );
-    }
-
-    // (b) The same flatness claim at megascale, from perfscale's
-    // first/last post-warm-up window high-water pair.
-    let sfirst = fresh.get("serve_scale_live_bytes_first_window").and_then(|v| v.as_f64());
-    let slast = fresh.get("serve_scale_live_bytes_last_window").and_then(|v| v.as_f64());
-    if let (Some(first), Some(last)) = (sfirst, slast) {
-        assert!(first > 0.0, "live-bytes high-water must be positive");
-        let ratio = last / first;
-        let ok = ratio <= 1.5;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "{} serve scale memory: last window = {ratio:.2}x first (bound 1.5x)",
-            if ok { "ok  " } else { "FAIL" },
-        );
-    }
-
-    // (c) Sustained throughput: open serving must hold >= 0.9x the
-    // closed-batch twin over the identical workload (ISSUE 9 acceptance).
-    if let Some(ratio) = fresh.get("serve_sustained_over_closed").and_then(|v| v.as_f64()) {
-        let ok = ratio >= 0.9;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "{} serve sustained throughput: {ratio:.3}x closed-batch (need >= 0.9x)",
-            if ok { "ok  " } else { "FAIL" },
-        );
-    }
-
-    // (d) Dormant-econ overhead: a dormant econ section must cost nothing
-    // — the engine runs the literally identical code path, so the
-    // best-of-blocks throughput ratio reads ~1.0 and 0.95 is pure noise
-    // margin, not headroom. Fresh-line rule like (a)-(c): the claim is an
-    // invariant of the build, not drift against the baseline.
-    if let Some(ratio) = fresh.get("econ_dormant_over_clean").and_then(|v| v.as_f64()) {
-        let ok = ratio >= 0.95;
-        if !ok {
-            failed += 1;
-        }
-        println!(
-            "{} econ dormant throughput: {ratio:.3}x econ-free (need >= 0.95x)",
-            if ok { "ok  " } else { "FAIL" },
-        );
-    }
-
-    // Sharded-engine scaling gate: when the fresh record carries the
-    // threads curve, the 4-worker end-to-end run must be at least 2× the
-    // pinned-serial one — but only on a host that can actually scale
-    // (`host_cores >= 4`, read from the fresh record itself: a 1-core CI
-    // box measuring a flat curve is physics, not a regression).
-    let w1 = fresh.get("threads_curve_w1_jobs_per_sec").and_then(|v| v.as_f64());
-    let w4 = fresh.get("threads_curve_w4_jobs_per_sec").and_then(|v| v.as_f64());
-    if let (Some(w1), Some(w4)) = (w1, w4) {
-        let host_cores = fresh.get("host_cores").and_then(|v| v.as_f64()).unwrap_or(1.0);
-        assert!(w1 > 0.0, "threads curve rates must be positive");
-        let speedup = w4 / w1;
-        if host_cores >= 4.0 {
-            let ok = speedup >= 2.0;
-            if !ok {
-                failed += 1;
-            }
-            println!(
-                "{} threads curve: 4 workers = {speedup:.2}x serial (need >= 2x; host has {host_cores} cores)",
-                if ok { "ok  " } else { "FAIL" },
-            );
-        } else {
-            println!(
-                "skip threads curve: host has {host_cores} core(s), 4-worker speedup {speedup:.2}x not gated"
-            );
-        }
-    }
-
-    println!("perfgate: {checked} floors checked, {failed} broken");
+    };
+    let Value::Object(fresh) = load(fresh_path) else {
+        panic!("perfgate: {fresh_path} is not a JSON object");
+    };
+    let (checked, failed) = gate(&load(manifest_path), &fresh);
+    println!("perfgate: {checked} rules checked, {failed} broken");
     if failed > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde_json::json;
+
+    fn line(pairs: &[(&str, f64)]) -> Map {
+        let mut m = Map::new();
+        m.insert("bench".into(), json!("perfsmoke"));
+        for (k, v) in pairs {
+            m.insert((*k).into(), json!(*v));
+        }
+        m
+    }
+
+    fn rule(key: &str, kind: &str, field: &str, value: f64) -> Value {
+        let mut r = Map::new();
+        r.insert("line".into(), json!("perfsmoke"));
+        r.insert("key".into(), json!(key));
+        r.insert("rule".into(), json!(kind));
+        r.insert(field.into(), json!(value));
+        Value::Object(r)
+    }
+
+    #[test]
+    fn floor_allows_five_x_headroom_and_no_more() {
+        let r = rule("x_per_sec", "floor", "baseline", 100.0);
+        assert!(check(&r, &line(&[("x_per_sec", 20.0)])).is_ok());
+        assert!(check(&r, &line(&[("x_per_sec", 19.9)])).is_err());
+    }
+
+    #[test]
+    fn min_holds_the_bound() {
+        let r = rule("ratio", "min", "bound", 0.95);
+        assert!(check(&r, &line(&[("ratio", 0.95)])).is_ok());
+        assert!(check(&r, &line(&[("ratio", 0.949)])).is_err());
+    }
+
+    #[test]
+    fn spread_bounds_max_over_min_of_the_pattern() {
+        let r = rule("curve_*_per_sec", "spread", "bound", 3.0);
+        let flat = line(&[
+            ("curve_d50k_per_sec", 10.0),
+            ("curve_d200k_per_sec", 29.0),
+            ("curve_d50k_depth", 1.0),
+        ]);
+        assert!(check(&r, &flat).is_ok(), "non-matching keys stay out of the series");
+        let steep = line(&[("curve_d50k_per_sec", 10.0), ("curve_d200k_per_sec", 31.0)]);
+        assert!(check(&r, &steep).is_err());
+        let point = line(&[("curve_d50k_per_sec", 10.0)]);
+        assert!(check(&r, &point).is_err(), "one point is no curve");
+    }
+
+    #[test]
+    fn growth_bounds_last_over_first_in_key_order() {
+        let r = rule("mem_w*_bytes", "growth", "bound", 1.5);
+        // Insertion order reads 40 -> 99 (2.5x); key order reads 100 -> 99.
+        let flat =
+            line(&[("mem_w04_bytes", 40.0), ("mem_w03_bytes", 100.0), ("mem_w11_bytes", 99.0)]);
+        assert!(check(&r, &flat).is_ok(), "series compare in key order");
+        let ramp = line(&[("mem_w03_bytes", 100.0), ("mem_w11_bytes", 151.0)]);
+        assert!(check(&r, &ramp).is_err());
+        let shrink = line(&[("mem_w03_bytes", 300.0), ("mem_w11_bytes", 100.0)]);
+        assert!(check(&r, &shrink).is_ok(), "growth is one-sided");
+    }
+
+    #[test]
+    fn missing_key_fails() {
+        let r = rule("x_per_sec", "floor", "baseline", 100.0);
+        assert!(check(&r, &line(&[("y_per_sec", 1e9)])).is_err());
+    }
+
+    #[test]
+    fn unknown_rule_kind_fails() {
+        let r = rule("x_per_sec", "ceiling", "bound", 100.0);
+        assert!(check(&r, &line(&[("x_per_sec", 1.0)])).is_err());
+    }
+
+    #[test]
+    fn a_line_without_rules_fails() {
+        let manifest = json!({ "rules": vec![rule("x", "min", "bound", 0.0)] });
+        let mut fresh = line(&[("x", 1.0)]);
+        assert_eq!(gate(&manifest, &fresh), (1, 0));
+        fresh.insert("bench".into(), json!("perfscale-e2e"));
+        assert_eq!(gate(&manifest, &fresh), (0, 1));
+    }
+
+    fn manifest() -> Value {
+        let text = include_str!("../../../../BENCH.json");
+        serde_json::from_str_value(text).expect("BENCH.json parses")
+    }
+
+    fn recorded(manifest: &Value, probe: &str) -> Map {
+        match manifest.get("recorded").and_then(|r| r.get(probe)) {
+            Some(Value::Object(m)) => m.clone(),
+            _ => panic!("BENCH.json has no recorded {probe} line"),
+        }
+    }
+
+    /// The checked-in reference lines pass every manifest rule, with the
+    /// depth curve held to the tighter 2x a full-mode record must meet.
+    #[test]
+    fn recorded_lines_pass_their_own_manifest() {
+        let manifest = manifest();
+        let rules: Vec<Value> = manifest["rules"]
+            .as_array()
+            .expect("BENCH.json has a rules array")
+            .iter()
+            .cloned()
+            .map(|mut r| {
+                if let Value::Object(m) = &mut r {
+                    if m.get("rule").and_then(Value::as_str) == Some("spread") {
+                        m.insert("bound".into(), json!(2.0));
+                    }
+                }
+                r
+            })
+            .collect();
+        for kind in ["floor", "min", "spread", "growth"] {
+            assert!(rules.iter().any(|r| r["rule"].as_str() == Some(kind)), "no {kind} rule");
+        }
+        let n = rules.len();
+        let tightened = json!({ "rules": rules });
+        let (smoke, scale) = (recorded(&manifest, "perfsmoke"), recorded(&manifest, "perfscale"));
+        let (c1, f1) = gate(&tightened, &smoke);
+        let (c2, f2) = gate(&tightened, &scale);
+        assert_eq!((c1 + c2, f1 + f2), (n, 0), "every rule checked once, none broken");
+    }
+
+    #[test]
+    fn dropping_any_gated_key_from_a_recorded_line_fails_the_gate() {
+        let manifest = manifest();
+        for probe in ["perfsmoke", "perfscale"] {
+            let full = recorded(&manifest, probe);
+            assert_eq!(gate(&manifest, &full).1, 0);
+            let rules = manifest["rules"].as_array().expect("rules");
+            for r in rules.iter().filter(|r| r["line"].as_str() == Some(probe)) {
+                let pattern = r["key"].as_str().expect("key");
+                let mut cut = full.clone();
+                let gone: Vec<String> =
+                    full.keys().filter(|k| matches(pattern, k)).cloned().collect();
+                for k in &gone {
+                    cut.remove(k);
+                }
+                assert!(gate(&manifest, &cut).1 > 0, "{probe} without {pattern} must fail");
+            }
+        }
     }
 }

@@ -4,16 +4,16 @@
 //! churn, reported as events per second), the autonomic-model fast paths
 //! (sliding-window RLS refit vs the legacy batch refit; streaming OO
 //! series vs the legacy per-sample rescan, both reported with speedups),
-//! plus a representative subset of the `repro` experiments, a dormant-chaos
-//! probe (full engine runs with a zero-probability fault profile armed — the
-//! recovery plumbing must cost nothing when dormant), the matching
-//! dormant-econ probe and the cost-aware broker decision rate (the
-//! `BENCH_PR10.json` record), and the sustained
-//! open-system serving probe (a 24-virtual-hour stream vs its draw-identical
-//! closed-batch twin, plus the per-window live-bytes high-water curve that
-//! `perfgate` holds flat — the `BENCH_PR9.json` record), and prints a single
-//! line of JSON so successive runs can be collected as `BENCH_<n>.json`
-//! files and diffed:
+//! plus a representative subset of the `repro` experiments, the
+//! dormant-chaos and dormant-econ overhead probes (full engine runs with a
+//! zero-probability fault profile or a price-free econ section armed,
+//! timed in interleaved pairs against the plain config — a dormant section
+//! must cost nothing), the cost-aware broker decision rate, and the
+//! sustained open-system serving probe (a 24-virtual-hour stream vs its
+//! draw-identical closed-batch twin, plus the per-window live-bytes
+//! high-water curve). It prints a single line of JSON (`"bench":
+//! "perfsmoke"`) that `perfgate` checks against the `perfsmoke` rules of
+//! `BENCH.json`:
 //!
 //! ```text
 //! perfsmoke            print the JSON line to stdout
@@ -46,10 +46,17 @@ use serde_json::json;
 // The sustained-serving probe reports per-window live-bytes high-water
 // marks, so the whole binary runs under the counting allocator. Its two
 // relaxed atomics cost every probe low single-digit percent at most —
-// far inside the 5x perfgate headroom — and the BENCH_PR9 baseline was
-// recorded under the same allocator.
+// far inside the 5x perfgate headroom — and the BENCH.json serving
+// baselines were recorded under the same allocator.
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+/// Paired blocks per dormant-overhead probe, of `DORMANT_BLOCK_RUNS` runs
+/// per side. Many short pairs put both sides of each pair under the same
+/// host conditions; an odd count makes the median ratio one measured pair,
+/// so the chaos overhead ratio is its exact reciprocal.
+const DORMANT_BLOCKS: usize = 151;
+const DORMANT_BLOCK_RUNS: usize = 2;
 
 /// Experiments that together touch every subsystem: the Fig. 6 sweep
 /// (bucket × scheduler), the burstiness timeline, and the SIBS bound path.
@@ -209,86 +216,51 @@ fn oo_series_rescan(
     samples
 }
 
-/// Dormant-chaos overhead: full (small) engine runs with `faults: None` vs
-/// a zero-probability profile armed. A dormant profile compiles to an empty
-/// plan, so both configurations must take the same code path; the gated
-/// throughput key catches any accidental cost creeping into the hot loop
-/// when no faults are scheduled. Returns `(dormant_runs_per_sec,
-/// dormant_over_clean_ratio)`.
-fn chaos_dormant_probe(reps: usize) -> (f64, f64) {
-    let mk = |faults: Option<FaultProfile>| {
-        let mut cfg = ExperimentConfig::paper(
-            SchedulerKind::OrderPreserving,
-            cloudburst_workload::SizeBucket::Uniform,
-            7,
-        );
-        cfg.arrivals.n_batches = 3;
-        cfg.arrivals.jobs_per_batch = 8.0;
-        cfg.n_ic = 2;
-        cfg.training_docs = 150;
-        cfg.faults = faults;
-        cfg
-    };
-    let clean = mk(None);
-    let dormant = mk(Some(FaultProfile::dormant()));
+/// Dormant-section overhead: small full engine runs of a plain config vs
+/// the same config after `arm` adds an armed-but-dormant section (a
+/// zero-probability fault profile, or an econ section with no prices). A
+/// dormant section must take the identical code path, so the engine
+/// byte-identity tests pin the semantic half of that claim and this probe
+/// pins the wall-clock half. It times `DORMANT_BLOCKS` paired blocks,
+/// alternating which side of a pair runs first, so drift on a noisy host
+/// hits both sides alike. Returns `(dormant_runs_per_sec,
+/// clean_over_dormant)`: dormant throughput from the median block, and
+/// the median of the per-pair clean/dormant time ratios (1.0 = free).
+fn dormant_probe(arm: impl FnOnce(&mut ExperimentConfig)) -> (f64, f64) {
+    let mut clean = ExperimentConfig::paper(SchedulerKind::OrderPreserving, SizeBucket::Uniform, 7);
+    clean.arrivals.n_batches = 3;
+    clean.arrivals.jobs_per_batch = 8.0;
+    clean.n_ic = 2;
+    clean.training_docs = 150;
+    let mut armed = clean.clone();
+    arm(&mut armed);
     run_experiment(&clean); // warm-up
-    run_experiment(&dormant);
-
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        run_experiment(&clean);
-    }
-    let clean_secs = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        run_experiment(&dormant);
-    }
-    let dormant_secs = t0.elapsed().as_secs_f64();
-    (reps as f64 / dormant_secs, dormant_secs / clean_secs)
-}
-
-/// Dormant-econ overhead: the same small engine runs with `econ: None` vs
-/// a dormant `EconConfig` section armed (no prices anywhere). A dormant
-/// section never builds `EconState`, so both configurations must execute
-/// the literally identical code path (the engine byte-identity test pins
-/// the semantic half of that claim); this probe pins the wall-clock half.
-/// Both sides are timed as the best of `blocks` interleaved blocks of
-/// `reps` runs, so the gated ratio survives noisy CI neighbours. Returns
-/// `(dormant_runs_per_sec, dormant_over_clean_throughput_ratio)`.
-fn econ_dormant_probe(reps: usize, blocks: usize) -> (f64, f64) {
-    let mk = |econ: Option<EconConfig>| {
-        let mut cfg = ExperimentConfig::paper(
-            SchedulerKind::OrderPreserving,
-            cloudburst_workload::SizeBucket::Uniform,
-            7,
-        );
-        cfg.arrivals.n_batches = 3;
-        cfg.arrivals.jobs_per_batch = 8.0;
-        cfg.n_ic = 2;
-        cfg.training_docs = 150;
-        cfg.econ = econ;
-        cfg
-    };
-    let clean = mk(None);
-    let dormant = mk(Some(EconConfig::default()));
-    run_experiment(&clean); // warm-up
-    run_experiment(&dormant);
+    run_experiment(&armed);
 
     let time_block = |cfg: &ExperimentConfig| {
         let t0 = Instant::now();
-        for _ in 0..reps {
+        for _ in 0..DORMANT_BLOCK_RUNS {
             run_experiment(cfg);
         }
         t0.elapsed().as_secs_f64()
     };
-    let mut clean_best = f64::INFINITY;
-    let mut dormant_best = f64::INFINITY;
-    for _ in 0..blocks {
-        clean_best = clean_best.min(time_block(&clean));
-        dormant_best = dormant_best.min(time_block(&dormant));
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (mut armed_secs, mut ratios) = (Vec::new(), Vec::new());
+    for b in 0..DORMANT_BLOCKS {
+        let (c, a) = if b % 2 == 0 {
+            let c = time_block(&clean);
+            (c, time_block(&armed))
+        } else {
+            let a = time_block(&armed);
+            (time_block(&clean), a)
+        };
+        armed_secs.push(a);
+        ratios.push(c / a);
     }
-    (reps as f64 / dormant_best, clean_best / dormant_best)
+    (DORMANT_BLOCK_RUNS as f64 / median(armed_secs), median(ratios))
 }
 
 /// Cost-aware broker decision throughput: one armed world with a priced
@@ -423,8 +395,10 @@ fn main() {
     qrsm_refit_probe(400, 50); // warm-up
     let (refit_batch, refit_rls) = qrsm_refit_probe(400, 2_000);
     let (oo_rescan, oo_stream) = oo_series_probe(2_000, 30);
-    let (chaos_dormant_rps, chaos_dormant_ratio) = chaos_dormant_probe(20);
-    let (econ_dormant_rps, econ_dormant_over_clean) = econ_dormant_probe(20, 3);
+    let (chaos_dormant_rps, chaos_clean_over_dormant) =
+        dormant_probe(|cfg| cfg.faults = Some(FaultProfile::dormant()));
+    let (econ_dormant_rps, econ_dormant_over_clean) =
+        dormant_probe(|cfg| cfg.econ = Some(EconConfig::default()));
     let econ_broker_dps = econ_broker_probe(2_000_000);
     let (serve_jps, serve_closed_jps, serve_jobs, serve_live_hw, serve_mem_curve) =
         serve_sustained_probe();
@@ -449,7 +423,7 @@ fn main() {
     doc.insert("oo_series_streaming_secs".into(), json!(oo_stream));
     doc.insert("oo_series_speedup".into(), json!(oo_rescan / oo_stream));
     doc.insert("chaos_dormant_runs_per_sec".into(), json!(chaos_dormant_rps));
-    doc.insert("chaos_dormant_overhead_ratio".into(), json!(chaos_dormant_ratio));
+    doc.insert("chaos_dormant_overhead_ratio".into(), json!(1.0 / chaos_clean_over_dormant));
     doc.insert("econ_dormant_runs_per_sec".into(), json!(econ_dormant_rps));
     doc.insert("econ_dormant_over_clean".into(), json!(econ_dormant_over_clean));
     doc.insert("econ_broker_decisions_per_sec".into(), json!(econ_broker_dps));
@@ -462,13 +436,9 @@ fn main() {
         doc.insert(format!("serve_mem_curve_w{k:02}_live_bytes"), json!(bytes));
     }
     doc.insert("repro_subset_secs".into(), json!(repro_total));
-    // Host metadata, uniform across every BENCH_*.json record: core count
-    // and the shard-worker count unpinned engine runs resolve to (auto =
-    // host cores), so numbers stay interpretable across machines.
+    // Host metadata, so numbers stay interpretable across machines.
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    doc.insert("threads".into(), json!(host_cores));
     doc.insert("host_cores".into(), json!(host_cores));
-    doc.insert("default_shard_workers".into(), json!(host_cores));
     for (k, v) in repro {
         doc.insert(k, v);
     }
