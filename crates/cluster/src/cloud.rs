@@ -24,7 +24,7 @@ pub struct PoolBoundary {
     pub queued_cost_ticks: u64,
 }
 
-/// A job execution that finished, reported by [`Cloud::advance`].
+/// A job execution that finished, reported by [`Cloud::advance_into`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExecCompletion<K> {
     /// The caller's job key.
@@ -62,7 +62,7 @@ struct Queued<K> {
 /// A simulated cloud: `n` machines, FCFS queue, deterministic service.
 ///
 /// Passive API in the style of `cloudburst_net::Link`: the engine submits
-/// work, then alternates [`Cloud::next_wake`] / [`Cloud::advance`].
+/// work, then alternates [`Cloud::next_wake`] / [`Cloud::advance_into`].
 #[derive(Clone, Debug)]
 pub struct Cloud<K> {
     name: String,

@@ -9,8 +9,8 @@
 //!
 //! The JSON form ([`Report::render_json`]) is hand-built (the linter is
 //! dependency-free by policy) with a fixed key order, so it is as
-//! byte-stable as the text form and CI can archive it next to the
-//! `BENCH_*` artifacts.
+//! byte-stable as the text form and CI can archive it next to the perf
+//! probe lines that `BENCH.json` gates.
 
 use crate::rules::Finding;
 

@@ -44,7 +44,7 @@ use cloudburst_sla::{
 use cloudburst_workload::arrival::training_corpus;
 use cloudburst_workload::{BatchArrivals, Job, JobId, OpenArrivals};
 
-use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind, ServeConfig};
+use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind};
 
 /// Size of the autonomic probe transfers (Sec. III-A-2: "periodic test
 /// uploads/downloads of size 1MB").
@@ -66,6 +66,16 @@ fn est_exec_or_default(est_exec: &[f64], id: JobId) -> f64 {
 /// invertible under push/pop/cancel in any order — f64 sums are not.
 fn drain_cost_ticks(est_exec: &[f64], id: JobId, speed: f64) -> u64 {
     SimDuration::from_secs_f64(est_exec_or_default(est_exec, id) / speed).as_micros()
+}
+
+/// Writes spine slot `idx`: pushes when `idx` is the next fresh slot (the
+/// only case closed mode sees), overwrites a recycled slot in place.
+fn put<T>(spine: &mut Vec<T>, idx: usize, value: T) {
+    if idx == spine.len() {
+        spine.push(value);
+    } else {
+        spine[idx] = value;
+    }
 }
 
 /// Free-time sentinel for a crashed machine: "never frees" while staying
@@ -131,29 +141,34 @@ fn fill_est_free(
     now: SimTime,
 ) {
     fill_running_free(est_exec, buf, cloud, speed, now);
-    let q = cloud.queued();
-    if q > DRAIN_WINDOW {
-        let tail_ticks: u64 = cloud.queued_tail(DRAIN_WINDOW).map(|(_, t)| t).sum();
-        let prefix_secs =
-            SimDuration::from_micros(cloud.queued_cost_ticks() - tail_ticks).as_secs_f64();
-        if fluid.fill(buf, prefix_secs, DEAD_FREE_SECS).is_some() {
-            ft.reset_from(buf);
-            for (key, _) in cloud.queued_tail(DRAIN_WINDOW) {
-                let est = est_exec_or_default(est_exec, key);
-                ft.fcfs_commit(est / speed);
-            }
-            buf.clear();
-            buf.extend_from_slice(ft.values());
-            return;
-        }
-    }
+    let prefix_drained = fill_fluid_prefix(fluid, buf, cloud);
     ft.reset_from(buf);
-    for key in cloud.queued_keys() {
-        let est = est_exec_or_default(est_exec, key);
-        ft.fcfs_commit(est / speed);
+    if prefix_drained {
+        for (key, _) in cloud.queued_tail(DRAIN_WINDOW) {
+            ft.fcfs_commit(est_exec_or_default(est_exec, key) / speed);
+        }
+    } else {
+        for key in cloud.queued_keys() {
+            ft.fcfs_commit(est_exec_or_default(est_exec, key) / speed);
+        }
     }
     buf.clear();
     buf.extend_from_slice(ft.values());
+}
+
+/// The hybrid drain's fluid step: when the queue is deeper than
+/// [`DRAIN_WINDOW`], every job but the last `DRAIN_WINDOW` water-fills the
+/// live machine free-times in `buf` as one maintained integer-tick total.
+/// `false` (the caller replays the whole queue exactly) when the queue
+/// fits the window or no machine is live.
+fn fill_fluid_prefix(fluid: &mut FluidScratch, buf: &mut [f64], cloud: &Cloud<JobId>) -> bool {
+    if cloud.queued() <= DRAIN_WINDOW {
+        return false;
+    }
+    let tail_ticks: u64 = cloud.queued_tail(DRAIN_WINDOW).map(|(_, t)| t).sum();
+    let prefix_secs =
+        SimDuration::from_micros(cloud.queued_cost_ticks() - tail_ticks).as_secs_f64();
+    fluid.fill(buf, prefix_secs, DEAD_FREE_SECS).is_some()
 }
 
 /// What an in-flight transfer carries.
@@ -424,8 +439,6 @@ struct ServeState {
     output_bytes_total: u64,
     /// Peak live jobs across the run.
     live_high_water: u64,
-    /// The generator reached the horizon; the pipeline is draining.
-    arrivals_done: bool,
 }
 
 /// The whole simulated system.
@@ -463,10 +476,11 @@ pub struct EngineWorld {
     /// Jobs per batch with their placements (burst-ratio per batch).
     batch_decisions: Vec<Vec<bool>>,
     ic_wake: Option<EventId>,
-    batches_total: u32,
-    batches_seen: u32,
+    /// Arrival events still pending: the batches not yet admitted in
+    /// closed mode; in serving, 1 until the epoch that reaches the horizon.
+    arrivals_pending: u32,
     next_tid: u64,
-    /// Transfers pulled back mid-queue; their upload must be ignored.
+    /// Site-choice stream for the autonomic probe transfers.
     rng_probe: rand::rngs::StdRng,
     /// Ground-truth stream for re-sampling chunk service times.
     rng_chunk_truth: rand::rngs::StdRng,
@@ -714,8 +728,7 @@ impl EngineWorld {
             timelines: Vec::new(),
             batch_decisions: Vec::new(),
             ic_wake: None,
-            batches_total: cfg.arrivals.n_batches,
-            batches_seen: 0,
+            arrivals_pending: 0,
             next_tid: 0,
             rng_probe,
             rng_chunk_truth,
@@ -800,16 +813,28 @@ impl EngineWorld {
         TransferId(self.next_tid)
     }
 
-    fn all_done(&self) -> bool {
-        match &self.serve {
-            // Serving: the generator reached the horizon and every admitted
-            // job has delivered — O(1), no scan over a per-job vector.
-            Some(s) => s.arrivals_done && self.outstanding.is_empty(),
-            None => {
-                self.batches_seen == self.batches_total
-                    && self.completions.iter().all(|c| c.is_some())
-            }
+    /// Machine speed of `pool`.
+    fn speed(&self, pool: Pool) -> f64 {
+        match pool {
+            Pool::Ic => self.cfg.ic_speed,
+            Pool::Ec(_) => self.cfg.ec_speed,
         }
+    }
+
+    /// The cloud a machine fault names, or `None` when the machine is not
+    /// in this estate (a plan compiled against a wider one).
+    fn fault_target(&mut self, pool: Pool, m: MachineId) -> Option<&mut Cloud<JobId>> {
+        let cloud = match pool {
+            Pool::Ic => &mut self.ic,
+            Pool::Ec(s) => &mut self.sites.get_mut(s as usize)?.cloud,
+        };
+        (m.0 < cloud.n_machines()).then_some(cloud)
+    }
+
+    /// No arrival is pending and every admitted job has delivered — O(1)
+    /// in both modes, no scan over a per-job vector.
+    fn all_done(&self) -> bool {
+        self.arrivals_pending == 0 && self.outstanding.is_empty()
     }
 
     /// Rescan oracle for [`fill_running_free`]: estimated seconds until
@@ -1247,51 +1272,37 @@ impl EngineWorld {
 type W = EngineWorld;
 
 /// Cancels and re-arms all component wake events from their `next_wake`s.
+/// The order (IC, then each site's exec/up/down, then chaos) is part of the
+/// byte contract: it fixes the event sequence numbers.
 fn resync(w: &mut W, sim: &mut Sim<W>) {
-    if let Some(id) = w.ic_wake.take() {
-        sim.cancel(id);
-    }
-    if let Some(t) = w.ic.next_wake() {
-        w.ic_wake = Some(sim.schedule_at(t, |w, sim| {
-            w.ic_wake = None;
-            on_wake(w, sim);
-        }));
-    }
+    let next = w.ic.next_wake();
+    rearm(w, sim, next, |w| &mut w.ic_wake);
     for i in 0..w.sites.len() {
-        if let Some(id) = w.sites[i].exec_wake.take() {
-            sim.cancel(id);
-        }
-        if let Some(t) = w.sites[i].cloud.next_wake() {
-            w.sites[i].exec_wake = Some(sim.schedule_at(t, move |w, sim| {
-                w.sites[i].exec_wake = None;
-                on_wake(w, sim);
-            }));
-        }
-        if let Some(id) = w.sites[i].up_wake.take() {
-            sim.cancel(id);
-        }
-        if let Some(t) = w.sites[i].up_link.next_wake() {
-            w.sites[i].up_wake = Some(sim.schedule_at(t, move |w, sim| {
-                w.sites[i].up_wake = None;
-                on_wake(w, sim);
-            }));
-        }
-        if let Some(id) = w.sites[i].down_wake.take() {
-            sim.cancel(id);
-        }
-        if let Some(t) = w.sites[i].down_link.next_wake() {
-            w.sites[i].down_wake = Some(sim.schedule_at(t, move |w, sim| {
-                w.sites[i].down_wake = None;
-                on_wake(w, sim);
-            }));
-        }
+        let next = w.sites[i].cloud.next_wake();
+        rearm(w, sim, next, move |w| &mut w.sites[i].exec_wake);
+        let next = w.sites[i].up_link.next_wake();
+        rearm(w, sim, next, move |w| &mut w.sites[i].up_wake);
+        let next = w.sites[i].down_link.next_wake();
+        rearm(w, sim, next, move |w| &mut w.sites[i].down_wake);
     }
-    if let Some(id) = w.chaos_wake.take() {
+    let next = w.chaos.as_ref().and_then(|c| c.next_deadline());
+    rearm(w, sim, next, |w| &mut w.chaos_wake);
+}
+
+/// Cancels the wake held in `slot` and, when `next` is set, arms an
+/// [`on_wake`] there that clears the slot as it fires.
+fn rearm(
+    w: &mut W,
+    sim: &mut Sim<W>,
+    next: Option<SimTime>,
+    slot: impl Fn(&mut W) -> &mut Option<EventId> + Copy + 'static,
+) {
+    if let Some(id) = slot(w).take() {
         sim.cancel(id);
     }
-    if let Some(t) = w.chaos.as_ref().and_then(|c| c.next_deadline()) {
-        w.chaos_wake = Some(sim.schedule_at(t, |w, sim| {
-            w.chaos_wake = None;
+    if let Some(t) = next {
+        *slot(w) = Some(sim.schedule_at(t, move |w, sim| {
+            *slot(w) = None;
             on_wake(w, sim);
         }));
     }
@@ -1312,7 +1323,7 @@ fn on_wake(w: &mut W, sim: &mut Sim<W>) {
         execs.clear();
         w.ic.advance_into(now, &mut execs);
         for c in &execs {
-            if chaos_exec_failed(w, c, now, None) {
+            if chaos_exec_failed(w, c, now, Pool::Ic) {
                 continue;
             }
             finish_exec(w, c.key, c.at, c.started, true);
@@ -1343,7 +1354,7 @@ fn on_wake(w: &mut W, sim: &mut Sim<W>) {
                 // on metered capacity. (A crash-aborted attempt never
                 // completes, so it never reaches this loop — unbilled.)
                 econ_bill_exec(w, i, &c);
-                if chaos_exec_failed(w, &c, now, Some(i)) {
+                if chaos_exec_failed(w, &c, now, Pool::Ec(i as u32)) {
                     continue;
                 }
                 finish_exec(w, c.key, c.at, c.started, false);
@@ -1431,8 +1442,6 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     // materialize in phase 3, after the admission gate — a rejected job
     // must not consume an id (the spine slot would leak).
     let mut admitted = schedule.jobs;
-    let base = w.jobs.len() as u64;
-    let mut fresh = 0u64;
     for (job, _) in admitted.iter_mut() {
         if job.is_chunk() {
             job.true_service_secs = w.cfg.truth.sample_secs(&mut w.rng_chunk_truth, &job.features)
@@ -1487,16 +1496,9 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
             }
         }
         // Serving recycles the slot of a completed job (LIFO); closed mode
-        // has no free list, so every id is fresh — `base + k` exactly as
-        // before the serving mode existed.
-        job.id = match w.serve.as_mut().and_then(|s| s.free_ids.pop()) {
-            Some(id) => JobId(id),
-            None => {
-                let id = JobId(base + fresh);
-                fresh += 1;
-                id
-            }
-        };
+        // has no free list, so every id is fresh: the next spine slot.
+        let recycled = w.serve.as_mut().and_then(|s| s.free_ids.pop());
+        job.id = JobId(recycled.unwrap_or(w.jobs.len() as u64));
         let id = job.id;
         let idx = id.0 as usize;
         let est_ct = planner.commit(&job, placement);
@@ -1505,50 +1507,35 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         let promise = est_ct + margin;
         let timeline = crate::timeline::JobTimeline::new(id.0, job.arrival, now, placement);
 
+        // Spine writes: a fresh id is the next slot and pushes, a recycled
+        // one (serving only) overwrites in place, so the spine stays at the
+        // live-job high-water mark.
         debug_assert!(idx <= w.jobs.len(), "admitted id beyond the spine");
         if idx == w.jobs.len() {
-            // Fresh slot — the only arm closed mode ever takes.
-            w.est_exec.push(est_secs);
-            w.placements.push(placement);
-            w.site_of.push(site);
-            w.completions.push(None);
-            w.output_bytes.push(0);
             w.outstanding.insert(id.0, est_ct);
-            #[cfg(test)]
-            w.est_completion.push(Some(est_ct));
-            w.ticket_promise.push(promise);
-            w.timelines.push(timeline);
         } else {
-            // Recycled slot (serving only): overwrite in place — the spine
-            // stays at the live-job high-water mark.
-            w.est_exec[idx] = est_secs;
-            w.placements[idx] = placement;
-            w.site_of[idx] = site;
-            w.completions[idx] = None;
-            w.output_bytes[idx] = 0;
             w.outstanding.reinstate(id.0, est_ct);
-            #[cfg(test)]
-            {
-                w.est_completion[idx] = Some(est_ct);
-            }
-            w.ticket_promise[idx] = promise;
-            w.timelines[idx] = timeline;
-            if let Some(ch) = &mut w.chaos {
-                ch.exec_attempts[idx] = 0;
-                ch.up_attempts[idx] = 0;
-                ch.down_attempts[idx] = 0;
-            }
+        }
+        put(&mut w.est_exec, idx, est_secs);
+        put(&mut w.placements, idx, placement);
+        put(&mut w.site_of, idx, site);
+        put(&mut w.completions, idx, None);
+        put(&mut w.output_bytes, idx, 0);
+        #[cfg(test)]
+        put(&mut w.est_completion, idx, Some(est_ct));
+        put(&mut w.ticket_promise, idx, promise);
+        put(&mut w.timelines, idx, timeline);
+        if let Some(ch) = &mut w.chaos {
+            put(&mut ch.exec_attempts, idx, 0);
+            put(&mut ch.up_attempts, idx, 0);
+            put(&mut ch.down_attempts, idx, 0);
         }
         if let Some(serve) = &mut w.serve {
             // The dense arrival sequence number survives id recycling —
             // it is what the windowed OO frontier orders on.
             let seq = serve.windows.total_admitted();
             serve.windows.on_admit(seq, now);
-            if idx == serve.seq_of.len() {
-                serve.seq_of.push(seq);
-            } else {
-                serve.seq_of[idx] = seq;
-            }
+            put(&mut serve.seq_of, idx, seq);
             if placement == Placement::External {
                 serve.bursted_jobs += 1;
             }
@@ -1565,14 +1552,11 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
                 }
                 AdmissionPolicy::AdmitAll => (promise, false),
             };
-            if idx == econ.deadline.len() {
-                econ.deadline.push(deadline);
-                econ.committed.push(committed);
-            } else {
-                econ.deadline[idx] = deadline;
-                econ.committed[idx] = committed;
-            }
+            put(&mut econ.deadline, idx, deadline);
+            put(&mut econ.committed, idx, committed);
         }
+        // Admission's own submit: the planner still borrows the estimator,
+        // so this one cannot go through `resubmit`.
         match placement {
             Placement::Internal => {
                 let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ic_speed);
@@ -1583,26 +1567,17 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
                 w.sites[site].up_queues.push(class, id, job.input_bytes());
             }
         }
-        if idx == w.jobs.len() {
-            w.jobs.push(job);
-        } else {
-            w.jobs[idx] = job;
-        }
+        put(&mut w.jobs, idx, job);
     }
     // Hand the warm precompute buffer back for the next batch.
     w.admit_scratch = planner_inputs;
-    if let Some(ch) = &mut w.chaos {
-        ch.exec_attempts.resize(w.jobs.len(), 0);
-        ch.up_attempts.resize(w.jobs.len(), 0);
-        ch.down_attempts.resize(w.jobs.len(), 0);
-    }
     if w.serve.is_none() {
         // Closed mode keeps the whole-run per-batch decision log for the
         // Eq. 11/12 burst ratios; serving folds it into the counter above,
         // because an unbounded stream cannot keep a per-batch vector.
         w.batch_decisions.push(decisions);
     }
-    w.batches_seen += 1;
+    w.arrivals_pending -= 1;
 
     for i in 0..w.sites.len() {
         pump_uploads(w, i, now);
@@ -1636,9 +1611,8 @@ fn on_serve_epoch(w: &mut W, sim: &mut Sim<W>) {
     }
     let next = serve.arrivals.next_arrival();
     if next < serve.horizon {
+        w.arrivals_pending += 1;
         sim.schedule_at(next, on_serve_epoch);
-    } else {
-        serve.arrivals_done = true;
     }
 }
 
@@ -1724,9 +1698,7 @@ fn on_upload_done(w: &mut W, site: usize, c: Completion) {
                 return;
             }
             w.timelines[id.0 as usize].upload_done = Some(c.at);
-            let svc = w.jobs[id.0 as usize].true_service_secs;
-            let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ec_speed);
-            w.sites[site].cloud.submit_weighted(c.at, id, svc, ticks);
+            resubmit(w, Pool::Ec(site as u32), id, c.at);
         }
         Payload::Probe => {}
     }
@@ -1885,12 +1857,7 @@ fn econ_settle_completion(w: &mut W, id: JobId, at: SimTime) {
 /// work is wasted (the QRSM learns nothing from it) and the job re-runs on
 /// the same pool; the hashed per-attempt decider plus the retry cap bound
 /// the number of re-runs, so every job still terminates.
-fn chaos_exec_failed(
-    w: &mut W,
-    c: &ExecCompletion<JobId>,
-    now: SimTime,
-    site: Option<usize>,
-) -> bool {
+fn chaos_exec_failed(w: &mut W, c: &ExecCompletion<JobId>, now: SimTime, pool: Pool) -> bool {
     let Some(ch) = &mut w.chaos else { return false };
     let idx = c.key.0 as usize;
     if !ch.plan.exec_fails(c.key.0, ch.exec_attempts[idx]) {
@@ -1899,17 +1866,7 @@ fn chaos_exec_failed(
     ch.exec_attempts[idx] += 1;
     ch.metrics.exec_failures += 1;
     ch.metrics.fault_delay_secs += (c.at - c.started).as_secs_f64();
-    let svc = w.jobs[idx].true_service_secs;
-    match site {
-        None => {
-            let ticks = drain_cost_ticks(&w.est_exec, c.key, w.cfg.ic_speed);
-            w.ic.submit_weighted(now, c.key, svc, ticks);
-        }
-        Some(s) => {
-            let ticks = drain_cost_ticks(&w.est_exec, c.key, w.cfg.ec_speed);
-            w.sites[s].cloud.submit_weighted(now, c.key, svc, ticks);
-        }
-    }
+    resubmit(w, pool, c.key, now);
     true
 }
 
@@ -1919,14 +1876,23 @@ fn chaos_exec_failed(
 /// the IC.
 fn chaos_transfer_lost(w: &mut W, site: usize, id: JobId, c: &Completion, upload: bool) -> bool {
     let Some(ch) = &mut w.chaos else { return false };
-    let idx = id.0 as usize;
-    let attempts = if upload { &mut ch.up_attempts } else { &mut ch.down_attempts };
-    if !ch.plan.transfer_lost(id.0, upload, attempts[idx]) {
+    let attempts = if upload { &ch.up_attempts } else { &ch.down_attempts };
+    if !ch.plan.transfer_lost(id.0, upload, attempts[id.0 as usize]) {
         return false;
     }
-    attempts[idx] += 1;
-    let attempt = attempts[idx];
     ch.metrics.transfer_losses += 1;
+    retry_or_redispatch(w, site, id, c.at, upload);
+    true
+}
+
+/// The shared tail of a lost or timed-out transfer: count the failed
+/// attempt, then retry after backoff while the budget lasts, else
+/// re-dispatch the job to the IC.
+fn retry_or_redispatch(w: &mut W, site: usize, id: JobId, at: SimTime, upload: bool) {
+    let ch = w.chaos.as_mut().expect("transfer faults imply chaos state");
+    let attempts = if upload { &mut ch.up_attempts } else { &mut ch.down_attempts };
+    attempts[id.0 as usize] += 1;
+    let attempt = attempts[id.0 as usize];
     if attempt <= ch.plan.retry.max_transfer_retries {
         let backoff = ch.plan.retry.backoff_secs(attempt - 1);
         ch.metrics.transfer_retries += 1;
@@ -1936,11 +1902,10 @@ fn chaos_transfer_lost(w: &mut W, site: usize, id: JobId, c: &Completion, upload
         } else {
             ChaosTimer::DownRetry { site, id }
         };
-        ch.arm(c.at + SimDuration::from_secs_f64(backoff), timer);
+        ch.arm(at + SimDuration::from_secs_f64(backoff), timer);
     } else {
-        redispatch_to_ic(w, id, c.at);
+        redispatch_to_ic(w, id, at);
     }
-    true
 }
 
 /// Chaos recovery of last resort: hand the job back to the IC wait queue,
@@ -1951,23 +1916,34 @@ fn redispatch_to_ic(w: &mut W, id: JobId, now: SimTime) {
     let idx = id.0 as usize;
     w.placements[idx] = Placement::Internal;
     w.timelines[idx].placement = Placement::Internal;
-    let svc = w.jobs[idx].true_service_secs;
-    let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ic_speed);
-    w.ic.submit_weighted(now, id, svc, ticks);
-    reinstate_estimate(w, id, now, w.cfg.ic_speed);
-    let ch = w.chaos.as_mut().expect("re-dispatch implies chaos state");
-    ch.metrics.redispatches += 1;
+    redispatch(w, Pool::Ic, id, now);
 }
 
-/// Revises the outstanding completion estimate of a re-dispatched job (and
-/// its test-build rebuild oracle, in lock step).
-fn reinstate_estimate(w: &mut W, id: JobId, now: SimTime, speed: f64) {
+/// Chaos: re-queues a job a fault stranded on `pool`, with its outstanding
+/// completion estimate (and the test-build rebuild oracle, in lock step)
+/// re-anchored at `now`.
+fn redispatch(w: &mut W, pool: Pool, id: JobId, now: SimTime) {
+    resubmit(w, pool, id, now);
     let est = est_exec_or_default(&w.est_exec, id);
-    let est_ct = now + SimDuration::from_secs_f64(est / speed);
+    let est_ct = now + SimDuration::from_secs_f64(est / w.speed(pool));
     w.outstanding.reinstate(id.0, est_ct);
     #[cfg(test)]
     {
         w.est_completion[id.0 as usize] = Some(est_ct);
+    }
+    let ch = w.chaos.as_mut().expect("re-dispatch implies chaos state");
+    ch.metrics.redispatches += 1;
+}
+
+/// Puts job `id` on `pool`'s FCFS wait queue at `at`, drain-weighted by
+/// its recorded estimate: upload completion, pull-back, and every fault
+/// recovery (re-run, crash, re-dispatch) submit here.
+fn resubmit(w: &mut W, pool: Pool, id: JobId, at: SimTime) {
+    let svc = w.jobs[id.0 as usize].true_service_secs;
+    let ticks = drain_cost_ticks(&w.est_exec, id, w.speed(pool));
+    match pool {
+        Pool::Ic => w.ic.submit_weighted(at, id, svc, ticks),
+        Pool::Ec(s) => w.sites[s as usize].cloud.submit_weighted(at, id, svc, ticks),
     }
 }
 
@@ -2027,25 +2003,9 @@ fn on_transfer_timeout(
         }
     }
     let ch = w.chaos.as_mut().expect("chaos timers imply chaos state");
-    let idx = id.0 as usize;
     ch.metrics.transfer_timeouts += 1;
     ch.metrics.fault_delay_secs += (now - started).as_secs_f64();
-    let attempts = if upload { &mut ch.up_attempts } else { &mut ch.down_attempts };
-    attempts[idx] += 1;
-    let attempt = attempts[idx];
-    if attempt <= ch.plan.retry.max_transfer_retries {
-        let backoff = ch.plan.retry.backoff_secs(attempt - 1);
-        ch.metrics.transfer_retries += 1;
-        ch.metrics.fault_delay_secs += backoff;
-        let timer = if upload {
-            ChaosTimer::UpRetry { site, id }
-        } else {
-            ChaosTimer::DownRetry { site, id }
-        };
-        ch.arm(now + SimDuration::from_secs_f64(backoff), timer);
-    } else {
-        redispatch_to_ic(w, id, now);
-    }
+    retry_or_redispatch(w, site, id, now, upload);
 }
 
 /// Chaos: a machine crashes. Any running job is aborted and re-submitted
@@ -2059,38 +2019,13 @@ fn on_machine_down(w: &mut W, sim: &mut Sim<W>, pool: Pool, machine: u32) {
     let now = sim.now();
     on_wake(w, sim);
     let m = MachineId(machine as usize);
-    let aborted = match pool {
-        Pool::Ic if m.0 < w.ic.n_machines() => w.ic.fail_machine(now, m),
-        Pool::Ec(s)
-            if (s as usize) < w.sites.len() && m.0 < w.sites[s as usize].cloud.n_machines() =>
-        {
-            w.sites[s as usize].cloud.fail_machine(now, m)
-        }
-        _ => return, // plan compiled against a wider estate — ignore
-    };
-    {
-        let ch = w.chaos.as_mut().expect("machine events imply chaos state");
-        ch.metrics.machine_crashes += 1;
-        if let Some((_, span)) = aborted {
-            ch.metrics.fault_delay_secs += span.as_secs_f64();
-        }
-    }
-    if let Some((id, _)) = aborted {
-        let svc = w.jobs[id.0 as usize].true_service_secs;
-        match pool {
-            Pool::Ic => {
-                let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ic_speed);
-                w.ic.submit_weighted(now, id, svc, ticks);
-                reinstate_estimate(w, id, now, w.cfg.ic_speed);
-            }
-            Pool::Ec(s) => {
-                let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ec_speed);
-                w.sites[s as usize].cloud.submit_weighted(now, id, svc, ticks);
-                reinstate_estimate(w, id, now, w.cfg.ec_speed);
-            }
-        }
-        let ch = w.chaos.as_mut().expect("chaos state");
-        ch.metrics.redispatches += 1;
+    let Some(cloud) = w.fault_target(pool, m) else { return };
+    let aborted = cloud.fail_machine(now, m);
+    let ch = w.chaos.as_mut().expect("machine events imply chaos state");
+    ch.metrics.machine_crashes += 1;
+    if let Some((id, span)) = aborted {
+        ch.metrics.fault_delay_secs += span.as_secs_f64();
+        redispatch(w, pool, id, now);
     }
     resync(w, sim);
 }
@@ -2103,15 +2038,8 @@ fn on_machine_up(w: &mut W, sim: &mut Sim<W>, pool: Pool, machine: u32) {
     let now = sim.now();
     on_wake(w, sim);
     let m = MachineId(machine as usize);
-    match pool {
-        Pool::Ic if m.0 < w.ic.n_machines() => w.ic.recover_machine(now, m),
-        Pool::Ec(s)
-            if (s as usize) < w.sites.len() && m.0 < w.sites[s as usize].cloud.n_machines() =>
-        {
-            w.sites[s as usize].cloud.recover_machine(now, m)
-        }
-        _ => return,
-    }
+    let Some(cloud) = w.fault_target(pool, m) else { return };
+    cloud.recover_machine(now, m);
     let ch = w.chaos.as_mut().expect("machine events imply chaos state");
     ch.metrics.machine_recoveries += 1;
     resync(w, sim);
@@ -2160,9 +2088,7 @@ fn try_pull_back(w: &mut W, now: SimTime) {
         debug_assert_eq!(got, id);
         w.placements[id.0 as usize] = Placement::Internal;
         w.timelines[id.0 as usize].placement = Placement::Internal;
-        let svc = w.jobs[id.0 as usize].true_service_secs;
-        let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ic_speed);
-        w.ic.submit_weighted(now, id, svc, ticks);
+        resubmit(w, Pool::Ic, id, now);
         w.n_pull_backs += 1;
     }
 }
@@ -2175,8 +2101,7 @@ fn try_push_out(w: &mut W, now: SimTime) {
     if !w.sites[site].up_queues.is_empty() || w.sites[site].up_link.boundary().in_flight > 0 {
         return;
     }
-    let q = w.ic.queued();
-    if q == 0 {
+    if w.ic.queued() == 0 {
         return;
     }
     // Epoch barrier: the candidate scan below reads QRSM predictions, so
@@ -2196,15 +2121,9 @@ fn try_push_out(w: &mut W, now: SimTime) {
     let speed = w.cfg.ic_speed;
     fill_running_free(&w.est_exec, &mut w.ic_free_buf, &w.ic, speed, now);
     w.po_waiting.clear();
-    if q > DRAIN_WINDOW {
-        let tail_ticks: u64 = w.ic.queued_tail(DRAIN_WINDOW).map(|(_, t)| t).sum();
-        let prefix_secs =
-            SimDuration::from_micros(w.ic.queued_cost_ticks() - tail_ticks).as_secs_f64();
-        if w.fluid.fill(&mut w.ic_free_buf, prefix_secs, DEAD_FREE_SECS).is_some() {
-            w.po_waiting.extend(w.ic.queued_tail(DRAIN_WINDOW).map(|(key, _)| key));
-        }
-    }
-    if w.po_waiting.is_empty() {
+    if fill_fluid_prefix(&mut w.fluid, &mut w.ic_free_buf, &w.ic) {
+        w.po_waiting.extend(w.ic.queued_tail(DRAIN_WINDOW).map(|(key, _)| key));
+    } else {
         // At or below the window — or every machine dead (fall back to
         // the exact full-queue scan; depth-flatness is moot then).
         w.po_waiting.extend(w.ic.queued_keys());
@@ -2376,20 +2295,6 @@ pub fn run_with_batches(
     harness.finish()
 }
 
-/// As [`run_with_batches`], with an explicit pre-compiled fault plan — the
-/// serialize → replay path of the chaos layer. Replaying a plan produced
-/// by a prior run (same config, same batches) is byte-identical to that
-/// run. `None` falls back to compiling `cfg.faults`.
-pub fn run_with_plan(
-    cfg: &ExperimentConfig,
-    batches: Vec<cloudburst_workload::Batch>,
-    plan: Option<FaultPlan>,
-) -> (RunReport, EngineWorld) {
-    let mut harness = EngineHarness::new_with_plan(cfg, batches, plan);
-    harness.run();
-    harness.finish()
-}
-
 /// Schedules the control-plane events both modes share: the fault plan's
 /// machine crash/recover cycles, the autonomic probe, and the elastic
 /// scaling tick. Scheduling order (faults, probe, scaling) is part of the
@@ -2429,118 +2334,30 @@ pub fn serve_experiment_detailed(cfg: &ExperimentConfig) -> (ServeReport, Engine
     harness.finish()
 }
 
-/// A steppable serving driver — [`EngineHarness`]'s open-system twin. The
-/// long-run probes step it window by window, draining closed rows as they
-/// go, so even a multi-day stream holds only live state.
-pub struct ServeHarness {
-    world: EngineWorld,
-    sim: Sim<EngineWorld>,
-}
-
-impl std::fmt::Debug for ServeHarness {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeHarness")
-            .field("now", &self.sim.now())
-            .field("pending", &self.sim.pending())
-            .field("world", &self.world)
-            .finish()
-    }
-}
-
-impl ServeHarness {
-    /// Builds the serving world from `cfg.serve` (defaults when absent)
-    /// and schedules the first epoch plus the control-plane events.
-    pub fn new(cfg: &ExperimentConfig) -> ServeHarness {
-        let serve_cfg = cfg.serve.clone().unwrap_or_default();
-        ServeHarness::with_serve_config(cfg, serve_cfg)
-    }
-
-    /// As [`ServeHarness::new`] with an explicit serving section (the
-    /// probes' path: one base config, many stream shapes).
-    pub fn with_serve_config(cfg: &ExperimentConfig, serve_cfg: ServeConfig) -> ServeHarness {
-        let mut world = EngineWorld::new(cfg.clone(), None);
-        let rngs = RngFactory::new(cfg.seed);
-        let arrivals = OpenArrivals::new(serve_cfg.arrivals, &rngs, cfg.truth.clone());
-        world.serve = Some(ServeState {
-            arrivals,
-            horizon: SimTime::ZERO + serve_cfg.horizon,
-            windows: WindowSeries::new(serve_cfg.window),
-            free_ids: Vec::new(),
-            seq_of: Vec::new(),
-            bursted_jobs: 0,
-            output_bytes_total: 0,
-            live_high_water: 0,
-            arrivals_done: false,
-        });
-        let mut sim: Sim<EngineWorld> = Sim::new();
-        // Exactly one arrival event is pending at any time: the first epoch
-        // here, each successor from `on_serve_epoch` itself.
-        sim.schedule_at(SimTime::ZERO, on_serve_epoch);
-        schedule_control_events(&world, &mut sim);
-        ServeHarness { world, sim }
-    }
-
-    /// Fires the next event; `false` once the queue is empty.
-    pub fn step(&mut self) -> bool {
-        self.sim.step(&mut self.world)
-    }
-
-    /// Fires every event scheduled up to `until`.
-    pub fn run_until(&mut self, until: SimTime) {
-        self.sim.run_until(&mut self.world, until);
-    }
-
-    /// Drains the event queue completely (horizon, then pipeline drain).
-    pub fn run(&mut self) {
-        self.sim.run(&mut self.world);
-    }
-
-    /// Current simulation clock.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// The simulated world, for inspection.
-    pub fn world(&self) -> &EngineWorld {
-        &self.world
-    }
-
-    /// Mutable world access (window draining, probe APIs).
-    pub fn world_mut(&mut self) -> &mut EngineWorld {
-        &mut self.world
-    }
-
-    /// Asserts the stream drained, accrues provisioning, and produces the
-    /// windowed serving report.
-    pub fn finish(mut self) -> (ServeReport, EngineWorld) {
-        assert!(
-            self.world.all_done(),
-            "serving deadlock: {} jobs live after the event queue drained",
-            self.world.outstanding.len(),
-        );
-        let end = self.sim.now();
-        self.world.accrue_provisioning(end);
-        // Final epoch barrier, as in closed mode: the handed-back world's
-        // QRSM state matches the eager-refit engine's.
-        self.world.est.flush_refits();
-        let report = self.world.serve_report(end);
-        (report, self.world)
-    }
-}
-
 /// A steppable engine driver: the event queue plus the world, exposed so
 /// probes, benchmarks, and tests can advance a run to a mid-flight state
 /// and exercise the decision path ([`EngineWorld::load_snapshot`],
-/// [`EngineWorld::decision_sweep`]) directly. [`run_with_batches`] is
-/// `new` → `run` → `finish`.
-pub struct EngineHarness {
+/// [`EngineWorld::decision_sweep`]) directly. `R` is the report the run
+/// finishes with: [`EngineHarness`] drives a closed batch run
+/// ([`run_with_batches`] is `new` → `run` → `finish`), [`ServeHarness`] an
+/// open serving stream, which the long-run probes step window by window,
+/// draining closed rows as they go, so even a multi-day stream holds only
+/// live state.
+pub struct Harness<R> {
     world: EngineWorld,
     sim: Sim<EngineWorld>,
+    report: std::marker::PhantomData<fn() -> R>,
 }
 
-impl std::fmt::Debug for EngineHarness {
+/// The closed-batch harness; finishes with a [`RunReport`].
+pub type EngineHarness = Harness<RunReport>;
+
+/// The open-system serving harness; finishes with a [`ServeReport`].
+pub type ServeHarness = Harness<ServeReport>;
+
+impl<R> std::fmt::Debug for Harness<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineHarness")
+        f.debug_struct("Harness")
             .field("now", &self.sim.now())
             .field("pending", &self.sim.pending())
             .field("world", &self.world)
@@ -2548,28 +2365,11 @@ impl std::fmt::Debug for EngineHarness {
     }
 }
 
-impl EngineHarness {
-    /// Builds the world and schedules the arrival/probe/scaling events.
-    pub fn new(cfg: &ExperimentConfig, batches: Vec<cloudburst_workload::Batch>) -> EngineHarness {
-        EngineHarness::new_with_plan(cfg, batches, None)
-    }
-
-    /// As [`EngineHarness::new`], with an explicit pre-compiled fault plan
-    /// (the replay path); `None` compiles `cfg.faults` instead. The plan's
-    /// machine crash/recover cycles become ordinary DES events here.
-    pub fn new_with_plan(
-        cfg: &ExperimentConfig,
-        batches: Vec<cloudburst_workload::Batch>,
-        plan: Option<FaultPlan>,
-    ) -> EngineHarness {
-        let mut world = EngineWorld::new(cfg.clone(), plan);
-        world.batches_total = batches.len() as u32;
-        let mut sim: Sim<EngineWorld> = Sim::new();
-        for b in batches {
-            sim.schedule_at(b.arrival, move |w, sim| on_batch(w, sim, b.jobs));
-        }
+impl<R> Harness<R> {
+    /// Schedules the control-plane events after the arrivals `sim` holds.
+    fn start(world: EngineWorld, mut sim: Sim<EngineWorld>) -> Harness<R> {
         schedule_control_events(&world, &mut sim);
-        EngineHarness { world, sim }
+        Harness { world, sim, report: std::marker::PhantomData }
     }
 
     /// Fires the next event; `false` once the queue is empty.
@@ -2597,30 +2397,92 @@ impl EngineHarness {
         &self.world
     }
 
-    /// Mutable world access for probe APIs. Callers that mutate pipeline
-    /// state must drive the run to completion through events they schedule
-    /// themselves — the harness only resyncs on its own event handlers.
+    /// Mutable world access for probe APIs (window draining included).
+    /// Callers that mutate pipeline state must drive the run to completion
+    /// through events they schedule themselves — the harness only resyncs
+    /// on its own event handlers.
     pub fn world_mut(&mut self) -> &mut EngineWorld {
         &mut self.world
     }
 
-    /// Asserts the run completed, accrues provisioning, and produces the
-    /// SLA report.
-    pub fn finish(mut self) -> (RunReport, EngineWorld) {
+    /// Asserts the run drained, accrues provisioning, and runs the final
+    /// epoch barrier: observations queued after the last decision point
+    /// still refit in, so the handed-back world's QRSM state is identical
+    /// to the eager-refit engine's. Returns the end instant.
+    fn close(&mut self) -> SimTime {
         assert!(
             self.world.all_done(),
-            "engine deadlock: {} of {} jobs incomplete",
-            self.world.completions.iter().filter(|c| c.is_none()).count(),
-            self.world.jobs.len()
+            "engine deadlock: {} admitted jobs undelivered after the event queue drained",
+            self.world.outstanding.len(),
         );
         let end = self.sim.now();
         self.world.accrue_provisioning(end);
-        // Final epoch barrier: observations queued after the last decision
-        // point still refit in, so the handed-back world's QRSM state is
-        // identical to the eager-refit engine's.
         self.world.est.flush_refits();
-        let report = self.world.report(end);
-        (report, self.world)
+        end
+    }
+}
+
+impl Harness<RunReport> {
+    /// Builds the world and schedules the arrival/probe/scaling events.
+    pub fn new(cfg: &ExperimentConfig, batches: Vec<cloudburst_workload::Batch>) -> EngineHarness {
+        EngineHarness::new_with_plan(cfg, batches, None)
+    }
+
+    /// As [`EngineHarness::new`], with an explicit pre-compiled fault plan
+    /// — the serialize → replay path of the chaos layer; `None` compiles
+    /// `cfg.faults` instead. Replaying a plan produced by a prior run (same
+    /// config, same batches) is byte-identical to that run. The plan's
+    /// machine crash/recover cycles become ordinary DES events here.
+    pub fn new_with_plan(
+        cfg: &ExperimentConfig,
+        batches: Vec<cloudburst_workload::Batch>,
+        plan: Option<FaultPlan>,
+    ) -> EngineHarness {
+        let mut world = EngineWorld::new(cfg.clone(), plan);
+        world.arrivals_pending = batches.len() as u32;
+        let mut sim: Sim<EngineWorld> = Sim::new();
+        for b in batches {
+            sim.schedule_at(b.arrival, move |w, sim| on_batch(w, sim, b.jobs));
+        }
+        Harness::start(world, sim)
+    }
+
+    /// Closes the run and produces the SLA report.
+    pub fn finish(mut self) -> (RunReport, EngineWorld) {
+        let end = self.close();
+        (self.world.report(end), self.world)
+    }
+}
+
+impl Harness<ServeReport> {
+    /// Builds the serving world from `cfg.serve` (defaults when absent)
+    /// and schedules the first epoch plus the control-plane events.
+    pub fn new(cfg: &ExperimentConfig) -> ServeHarness {
+        let serve_cfg = cfg.serve.clone().unwrap_or_default();
+        let mut world = EngineWorld::new(cfg.clone(), None);
+        let rngs = RngFactory::new(cfg.seed);
+        world.serve = Some(ServeState {
+            arrivals: OpenArrivals::new(serve_cfg.arrivals, &rngs, cfg.truth.clone()),
+            horizon: SimTime::ZERO + serve_cfg.horizon,
+            windows: WindowSeries::new(serve_cfg.window),
+            free_ids: Vec::new(),
+            seq_of: Vec::new(),
+            bursted_jobs: 0,
+            output_bytes_total: 0,
+            live_high_water: 0,
+        });
+        // Exactly one arrival event is pending at any time: the first epoch
+        // here, each successor from `on_serve_epoch` itself.
+        world.arrivals_pending = 1;
+        let mut sim: Sim<EngineWorld> = Sim::new();
+        sim.schedule_at(SimTime::ZERO, on_serve_epoch);
+        Harness::start(world, sim)
+    }
+
+    /// Closes the stream and produces the windowed serving report.
+    pub fn finish(mut self) -> (ServeReport, EngineWorld) {
+        let end = self.close();
+        (self.world.serve_report(end), self.world)
     }
 }
 

@@ -47,8 +47,8 @@ pub mod timeline;
 
 pub use config::{ExperimentConfig, SchedulerKind, ServeConfig};
 pub use engine::{
-    run_experiment, run_experiment_detailed, run_with_batches, run_with_plan, serve_experiment,
-    serve_experiment_detailed, EngineHarness, ServeHarness,
+    run_experiment, run_experiment_detailed, run_with_batches, serve_experiment,
+    serve_experiment_detailed, EngineHarness, Harness, ServeHarness,
 };
 pub use timeline::JobTimeline;
 pub use runner::{run_all_buckets, run_replications};

@@ -13,7 +13,7 @@
 //! behaviour the paper's thread tuner exploits (Fig. 4(b)).
 //!
 //! The link is a passive component: the owning engine calls
-//! [`Link::advance`] to integrate progress up to the current instant and
+//! [`Link::advance_into`] to integrate progress up to the current instant and
 //! [`Link::next_wake`] to learn when the next interesting thing happens (a
 //! completion under the current rate, or a rate-revaluation slot boundary).
 //! Capacity is held constant within a revaluation slot, which makes
@@ -71,7 +71,7 @@ pub struct PipeBoundary {
     pub active_threads: u32,
 }
 
-/// A completed transfer, reported by [`Link::advance`].
+/// A completed transfer, reported by [`Link::advance_into`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Completion {
     /// Which transfer finished.
@@ -331,7 +331,7 @@ impl Link {
         }
     }
 
-    /// When should the engine next call [`Link::advance`]? Returns the
+    /// When should the engine next call [`Link::advance_into`]? Returns the
     /// earliest of the next completion (under the current instantaneous
     /// rate) and the next rate-revaluation boundary; `None` when idle.
     pub fn next_wake(&self) -> Option<SimTime> {

@@ -36,7 +36,7 @@
 //!
 //! Floating-point drift from long up/down-date chains is bounded by a full
 //! normal-equation rebuild from the stored rows every
-//! [`REBUILD_DOWNDATES`] evictions (amortized `O(terms²)` per observe).
+//! `REBUILD_DOWNDATES` (8192) evictions (amortized `O(terms²)` per observe).
 
 use crate::decomp::Cholesky;
 use crate::design::QuadraticDesign;

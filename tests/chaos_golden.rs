@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use cloudburst_repro::chaos::{CrashLaw, FaultPlan, FaultProfile, RetryPolicy};
 use cloudburst_repro::core::{
-    run_experiment, run_experiment_detailed, run_with_plan, ExperimentConfig, SchedulerKind,
+    run_experiment, run_experiment_detailed, EngineHarness, ExperimentConfig, SchedulerKind,
 };
 use cloudburst_repro::sim::RngFactory;
 use cloudburst_repro::workload::{ArrivalConfig, Batch, BatchArrivals, SizeBucket};
@@ -87,7 +87,9 @@ fn fault_plan_replay_round_trips_byte_identically() {
     let plan = FaultPlan::from_json(&plan_json).expect("plan parses");
     assert_eq!(plan.to_json(), plan_json, "plan JSON must round-trip exactly");
     // Replay from the deserialized plan (the profile is *not* recompiled).
-    let (r2, w2) = run_with_plan(&cfg, batches_for(&cfg), Some(plan));
+    let mut h = EngineHarness::new_with_plan(&cfg, batches_for(&cfg), Some(plan));
+    h.run();
+    let (r2, w2) = h.finish();
     assert_eq!(
         serde_json::to_string(&r1).expect("serializes"),
         serde_json::to_string(&r2).expect("serializes"),
@@ -139,6 +141,40 @@ fn mid_batch_blackout_completes_all_jobs_via_redispatch() {
     assert!(base.faults.is_clean());
     let attr = cloudburst_repro::sla::fault_attribution(&r, &base);
     assert!(attr.oo_mean_degradation > 0.0, "blackout left the OO metric unharmed: {attr:?}");
+}
+
+#[test]
+fn every_lost_upload_exhausts_its_retries_then_redispatches() {
+    // Every upload payload is lost, so each job bursted at admission
+    // loses its upload k + 1 times (k retries after backoff), then
+    // re-dispatches to the IC. Timeouts are set far beyond any upload so
+    // only the lost-payload branch of recovery runs, and no result is
+    // ever downloaded.
+    for k in [0u32, 2] {
+        let mut cfg = small_cfg(SchedulerKind::Greedy, 37);
+        cfg.faults = Some(FaultProfile {
+            transfer_loss_prob: 1.0,
+            retry: RetryPolicy {
+                base_backoff_secs: 5.0,
+                backoff_cap_secs: 20.0,
+                max_transfer_retries: k,
+                max_exec_retries: 3,
+                timeout_factor: 1000.0,
+                min_timeout_secs: 1.0e6,
+            },
+            ..FaultProfile::dormant()
+        });
+        let r = run_experiment(&cfg);
+        let f = &r.faults;
+        let bursted = (r.burst_ratio * r.n_jobs as f64).round() as u64;
+        assert_eq!(r.completion_times.len(), r.n_jobs, "lost-payload run lost jobs (k = {k})");
+        assert!(bursted > 0, "nothing bursted, the case is vacuous (k = {k})");
+        assert_eq!(f.transfer_timeouts, 0, "a timeout fired (k = {k}): {f:?}");
+        assert_eq!(f.redispatches, bursted, "k = {k}: {f:?}");
+        assert_eq!(f.transfer_losses, (u64::from(k) + 1) * f.redispatches, "k = {k}: {f:?}");
+        assert_eq!(f.transfer_retries, u64::from(k) * f.redispatches, "k = {k}: {f:?}");
+        assert_eq!(r.downloaded_bytes, 0, "k = {k}");
+    }
 }
 
 /// Golden byte-stability, mirroring `golden_determinism.rs` and the conform
